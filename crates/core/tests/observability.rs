@@ -1,13 +1,18 @@
 //! Observability-layer guarantees at the tree level: observation never
 //! perturbs the computation (the zero-overhead pin), the lazy-lag gauges
-//! surface in the sampled series, and the seeded relay-suppression fault
-//! trips the `backlog_growth` watchdog on exactly the suppressed processor.
+//! surface in the sampled series, the seeded relay-suppression fault trips
+//! the `backlog_growth` watchdog on exactly the suppressed processor, and
+//! the threaded runtime records the same telemetry as the simulator.
 
 mod common;
 
+use std::collections::BTreeSet;
+
 use common::to_client;
-use dbtree::{BuildSpec, ClientOp, DbCluster, PiggybackCfg, ProtocolKind, TreeConfig};
-use simnet::{HealthConfig, SimConfig};
+use dbtree::{
+    BuildSpec, ClientOp, DbCluster, PiggybackCfg, ProtocolKind, ThreadedDbCluster, TreeConfig,
+};
+use simnet::{HealthConfig, Obs, ObsConfig, SessionConfig, SimConfig, TraceEvent};
 use workload::{KeyDist, Mix, WorkloadGen};
 
 const N_PROCS: u32 = 4;
@@ -21,16 +26,15 @@ fn tree_cfg(suppress: Option<u32>) -> TreeConfig {
     }
 }
 
-/// Run one fixed workload and return `(event digest, completion digest,
-/// cluster)`. The event digest is the simulator's externally visible
-/// footprint; the completion digest is every op's timing and outcome.
-fn run(sim_cfg: SimConfig, suppress: Option<u32>) -> (u64, u64, u64, Vec<String>, DbCluster) {
-    let spec = BuildSpec::new(
+fn spec(suppress: Option<u32>) -> BuildSpec {
+    BuildSpec::new(
         (0..120).map(|k| k * 10).collect(),
         N_PROCS,
         tree_cfg(suppress),
-    );
-    let mut cluster = DbCluster::build(&spec, sim_cfg);
+    )
+}
+
+fn ops() -> Vec<ClientOp> {
     let mut gen = WorkloadGen::new(
         KeyDist::Uniform { n: 2000 },
         Mix {
@@ -41,8 +45,15 @@ fn run(sim_cfg: SimConfig, suppress: Option<u32>) -> (u64, u64, u64, Vec<String>
         N_PROCS,
         SEED,
     );
-    let ops: Vec<ClientOp> = gen.batch(400).iter().map(to_client).collect();
-    let stats = cluster.run_closed_loop(&ops, 6);
+    gen.batch(400).iter().map(to_client).collect()
+}
+
+/// Run one fixed workload and return `(event digest, completion digest,
+/// cluster)`. The event digest is the simulator's externally visible
+/// footprint; the completion digest is every op's timing and outcome.
+fn run(sim_cfg: SimConfig, suppress: Option<u32>) -> (u64, u64, u64, Vec<String>, DbCluster) {
+    let mut cluster = DbCluster::build(&spec(suppress), sim_cfg);
+    let stats = cluster.run_closed_loop(&ops(), 6);
     let completions: Vec<String> = stats
         .records
         .iter()
@@ -168,4 +179,64 @@ fn relay_suppression_trips_the_backlog_watchdog_on_the_right_proc() {
         report.by_rule.get("backlog_growth"),
         Some(&(obs.alerts.len() as u64))
     );
+}
+
+/// The threaded runtime records through the same action executor as the
+/// simulator: the same gauges (less the simulator's own event-queue depth),
+/// a sample of every processor from `on_start`, and every watchdog alert
+/// mirrored into the trace. Runs the relay-suppression fault so alerts do
+/// fire.
+#[test]
+fn threaded_telemetry_matches_the_simulator() {
+    const VICTIM: u32 = 2;
+    let obs_cfg = ObsConfig {
+        trace_capacity: 1 << 16,
+        sample_interval: 10,
+        health: HealthConfig::watchdogs(),
+    };
+    let mut thr = ThreadedDbCluster::build_threaded_with_obs(
+        &spec(Some(VICTIM)),
+        SessionConfig::default(),
+        obs_cfg,
+    );
+    // Nothing submitted yet: each processor's sample comes from `on_start`.
+    thr.run_to_quiescence();
+    let started: BTreeSet<u32> = thr.take_obs().series.iter().map(|s| s.proc.0).collect();
+    assert_eq!(
+        started,
+        (0..N_PROCS).collect(),
+        "a processor has no on_start sample"
+    );
+    thr.run_closed_loop(&ops(), 6);
+    let obs = thr.take_obs();
+    thr.into_procs();
+
+    let sim_cfg = SimConfig {
+        sample_interval: 100,
+        ..SimConfig::jittery(SEED, 2, 25)
+    };
+    let (_, _, _, _, mut sim) = run(sim_cfg, Some(VICTIM));
+    let gauges = |obs: &Obs| -> BTreeSet<&'static str> {
+        obs.series
+            .iter()
+            .flat_map(|s| s.gauges.iter().map(|(name, _)| *name))
+            .collect()
+    };
+    let mut expected = gauges(&sim.take_obs());
+    assert!(expected.remove("rt.event_queue_depth"));
+    assert_eq!(gauges(&obs), expected, "gauge sets diverge across runtimes");
+
+    assert!(
+        !obs.alerts.is_empty(),
+        "suppressed backlog never tripped the watchdog"
+    );
+    for a in &obs.alerts {
+        assert!(
+            obs.trace.of_event(TraceEvent::Alert).any(|e| e.at == a.at
+                && e.from == a.proc
+                && e.kind == a.rule
+                && e.detail == a.detail()),
+            "alert {a:?} has no trace event"
+        );
+    }
 }

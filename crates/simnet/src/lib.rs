@@ -54,6 +54,7 @@ pub mod driver;
 #[doc(hidden)]
 #[allow(missing_docs)]
 pub mod event;
+mod exec;
 mod fault;
 pub mod fx;
 mod health;

@@ -3,15 +3,16 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::context::{Context, Effect};
 use crate::event::{Event, EventKind, EventQueue};
+use crate::exec::{self, Action, Executor, Hop, Recorder, Recording, Routed};
 use crate::fault::FaultPlan;
-use crate::health::{Alert, HealthConfig, HealthMonitor};
-use crate::obs::{metric_deltas, Sampler};
+use crate::health::{Alert, HealthConfig};
 use crate::runtime::{Poll, QuiesceError, Runtime};
 use crate::schedule::Scheduler;
-use crate::trace::{TraceEntry, TraceEvent};
-use crate::{LatencyModel, NetStats, Obs, Payload, ProcId, ProcSample, Process, SimTime, Trace};
+use crate::trace::TraceEvent;
+use crate::{
+    LatencyModel, NetStats, Obs, ObsConfig, Payload, ProcId, ProcSample, Process, SimTime, Trace,
+};
 
 /// Configuration of a [`Simulation`] run.
 #[derive(Clone, Debug)]
@@ -145,7 +146,9 @@ pub struct Simulation<P: Process> {
     procs: Vec<Option<Box<P>>>,
     queue: EventQueue<P::Msg>,
     now: SimTime,
-    rng: SmallRng,
+    /// Effect buffer and the run's one RNG stream, which handlers and the
+    /// latency model draw from in turn.
+    exec: Executor<P::Msg>,
     latency: LatencyModel,
     /// Per-channel watermark that enforces FIFO even under jitter.
     /// Flattened to `internal[src*n + dst]` (plus one row for injected
@@ -159,16 +162,9 @@ pub struct Simulation<P: Process> {
     /// the model.
     service: Vec<u64>,
     stats: NetStats,
-    trace: Trace,
-    trace_cap: usize,
-    sampler: Sampler,
-    series: Vec<ProcSample>,
-    /// Online watchdogs (`None` unless `config.health.enabled`) and the
-    /// alerts they have fired so far.
-    health: Option<HealthMonitor>,
-    alerts: Vec<Alert>,
+    /// Trace, series and watchdogs (see [`crate::exec`]).
+    rec: Recorder,
     outputs: Vec<(SimTime, ProcId, P::Msg)>,
-    effects_buf: Vec<Effect<P::Msg>>,
     delivered: u64,
     max_events: u64,
     max_time: SimTime,
@@ -204,23 +200,21 @@ impl<P: Process> Simulation<P> {
             procs: procs.into_iter().map(|p| Some(Box::new(p))).collect(),
             queue: EventQueue::new(),
             now: SimTime::ZERO,
-            rng: SmallRng::seed_from_u64(config.seed),
+            exec: Executor::new(config.seed),
             latency: config.latency,
             channel_clock: ChannelClock::new(n),
             proc_busy: vec![SimTime::ZERO; n],
             service,
             stats: NetStats::new(n),
-            trace: Trace::with_capacity(config.trace_capacity),
-            trace_cap: config.trace_capacity,
-            sampler: Sampler::new(config.sample_interval, n),
-            series: Vec::new(),
-            health: config
-                .health
-                .enabled
-                .then(|| HealthMonitor::new(config.health, n)),
-            alerts: Vec::new(),
+            rec: Recorder::new(
+                ObsConfig {
+                    trace_capacity: config.trace_capacity,
+                    sample_interval: config.sample_interval,
+                    health: config.health,
+                },
+                n,
+            ),
             outputs: Vec::new(),
-            effects_buf: Vec::new(),
             delivered: 0,
             max_events: config.max_events,
             max_time: config.max_time,
@@ -244,7 +238,7 @@ impl<P: Process> Simulation<P> {
             }
         }
         for i in 0..n {
-            sim.with_proc(ProcId(i as u32), |p, ctx| p.on_start(ctx));
+            sim.run_action(ProcId(i as u32), 0, Action::Start);
         }
         sim
     }
@@ -266,29 +260,25 @@ impl<P: Process> Simulation<P> {
 
     /// The causal trace (empty unless `trace_capacity > 0`).
     pub fn trace(&self) -> &Trace {
-        &self.trace
+        &self.rec.trace
     }
 
     /// The metrics time series sampled so far (empty unless
     /// `sample_interval > 0`).
     pub fn series(&self) -> &[ProcSample] {
-        &self.series
+        &self.rec.series
     }
 
     /// Take the observability data (trace + series + alerts), leaving fresh
     /// buffers with the same configuration.
     pub fn take_obs(&mut self) -> Obs {
-        Obs {
-            trace: std::mem::replace(&mut self.trace, Trace::with_capacity(self.trace_cap)),
-            series: std::mem::take(&mut self.series),
-            alerts: std::mem::take(&mut self.alerts),
-        }
+        self.rec.take_obs()
     }
 
     /// Watchdog alerts fired so far (empty unless health monitoring and
     /// sampling are both enabled).
     pub fn alerts(&self) -> &[Alert] {
-        &self.alerts
+        &self.rec.alerts
     }
 
     /// Messages sent to [`ProcId::EXTERNAL`], with their send times.
@@ -487,21 +477,15 @@ impl<P: Process> Simulation<P> {
                 self.stats.faults_mut().timer_dropped += 1;
             } else {
                 self.stats.faults_mut().crash_dropped += 1;
-                if self.trace.enabled() {
-                    self.trace.record(TraceEntry {
-                        seq: 0,
-                        at: self.now,
-                        from,
-                        to: event.to,
-                        event: TraceEvent::Drop,
-                        kind,
-                        span,
-                        redelivery,
-                        wait: event.wait,
-                        detail: "crash".into(),
-                        deltas: Vec::new(),
-                    });
-                }
+                let hop = Hop {
+                    from,
+                    to: event.to,
+                    kind,
+                    span,
+                    redelivery,
+                };
+                self.rec
+                    .fault(TraceEvent::Drop, self.now, hop, event.wait, "crash");
             }
             self.stats.observe_inflight(self.queue.len());
             return;
@@ -523,21 +507,9 @@ impl<P: Process> Simulation<P> {
                 match &event.kind {
                     EventKind::Deliver { from, msg, span } => {
                         self.stats.faults_mut().crash_dropped += 1;
-                        if self.trace.enabled() {
-                            self.trace.record(TraceEntry {
-                                seq: 0,
-                                at: self.now,
-                                from: *from,
-                                to: event.to,
-                                event: TraceEvent::Drop,
-                                kind: msg.kind(),
-                                span: *span,
-                                redelivery: msg.redelivery(),
-                                wait: event.wait,
-                                detail: "crash".into(),
-                                deltas: Vec::new(),
-                            });
-                        }
+                        let hop = Hop::of(*from, event.to, msg, *span);
+                        self.rec
+                            .fault(TraceEvent::Drop, self.now, hop, event.wait, "crash");
                     }
                     EventKind::Timer { .. } => self.stats.faults_mut().timer_dropped += 1,
                     _ => unreachable!(),
@@ -573,30 +545,6 @@ impl<P: Process> Simulation<P> {
         self.delivered += 1;
         let to = event.to;
         match event.kind {
-            EventKind::Deliver { from, msg, span } => {
-                let pending = self.trace.enabled().then(|| PendingTrace {
-                    event: TraceEvent::Deliver,
-                    from,
-                    kind: msg.kind(),
-                    redelivery: msg.redelivery(),
-                    wait: event.wait,
-                    detail: format!("{msg:?}"),
-                });
-                self.run_action(to, span, svc, pending, |p, ctx| {
-                    p.on_message(ctx, from, msg)
-                });
-            }
-            EventKind::Timer { token } => {
-                let pending = self.trace.enabled().then(|| PendingTrace {
-                    event: TraceEvent::Timer,
-                    from: to,
-                    kind: "timer",
-                    redelivery: false,
-                    wait: event.wait,
-                    detail: format!("token={token}"),
-                });
-                self.run_action(to, None, svc, pending, |p, ctx| p.on_timer(ctx, token));
-            }
             EventKind::Crash => {
                 self.down[to.index()] = true;
                 self.crash_epoch[to.index()] += 1;
@@ -605,38 +553,16 @@ impl<P: Process> Simulation<P> {
                 // at the crash, drops still fire at the original times).
                 self.queue.cancel_for(to);
                 self.stats.faults_mut().crashes += 1;
-                if self.trace.enabled() {
-                    self.trace.record(TraceEntry {
-                        seq: 0,
-                        at: self.now,
-                        from: to,
-                        to,
-                        event: TraceEvent::Crash,
-                        kind: "fault.crash",
-                        span: None,
-                        redelivery: false,
-                        wait: 0,
-                        detail: String::new(),
-                        deltas: Vec::new(),
-                    });
-                }
+                self.rec.crash(self.now, to);
             }
             EventKind::Restart => {
                 self.down[to.index()] = false;
                 // The new incarnation's node manager starts idle.
                 self.proc_busy[to.index()] = self.now;
                 self.stats.faults_mut().restarts += 1;
-                let pending = self.trace.enabled().then(|| PendingTrace {
-                    event: TraceEvent::Restart,
-                    from: to,
-                    kind: "fault.restart",
-                    redelivery: false,
-                    wait: 0,
-                    detail: String::new(),
-                });
-                self.run_action(to, None, 0, pending, |p, ctx| p.on_restart(ctx));
+                self.run_action(to, 0, Action::Restart);
             }
-            EventKind::Tombstone { .. } => unreachable!("handled above"),
+            kind => self.run_action(to, svc, queued_action(kind, event.wait)),
         }
         self.stats.observe_inflight(self.queue.len());
     }
@@ -691,33 +617,7 @@ impl<P: Process> Simulation<P> {
             self.now = event.at;
             self.delivered += 1;
             let (_, p) = held.as_mut().expect("held above");
-            match event.kind {
-                EventKind::Deliver { from, msg, span } => {
-                    let pending = self.trace.enabled().then(|| PendingTrace {
-                        event: TraceEvent::Deliver,
-                        from,
-                        kind: msg.kind(),
-                        redelivery: msg.redelivery(),
-                        wait: event.wait,
-                        detail: format!("{msg:?}"),
-                    });
-                    self.run_action_on(p, to, span, 0, pending, |p, ctx| {
-                        p.on_message(ctx, from, msg)
-                    });
-                }
-                EventKind::Timer { token } => {
-                    let pending = self.trace.enabled().then(|| PendingTrace {
-                        event: TraceEvent::Timer,
-                        from: to,
-                        kind: "timer",
-                        redelivery: false,
-                        wait: event.wait,
-                        detail: format!("token={token}"),
-                    });
-                    self.run_action_on(p, to, None, 0, pending, |p, ctx| p.on_timer(ctx, token));
-                }
-                _ => unreachable!("peek_plain_at only yields deliveries and timers"),
-            }
+            self.run_action_on(p, to, 0, queued_action(event.kind, event.wait));
             self.stats.observe_inflight(self.queue.len());
         }
         if let Some((h, p)) = held.take() {
@@ -773,36 +673,21 @@ impl<P: Process> Simulation<P> {
         }
     }
 
-    fn with_proc(&mut self, id: ProcId, f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>)) {
-        self.run_action(id, None, 0, None, f);
-    }
-
     /// Per-processor service time after overrides (0 = infinitely fast).
     pub fn service_of(&self, id: ProcId) -> u64 {
         self.service[id.index()]
     }
 
-    /// Execute one atomic action on `id`: run `f` with a [`Context`] whose
-    /// span is `span`, record the trace entry described by `pending` (with
-    /// the action's `Process::metrics` deltas), emit a time-series sample if
-    /// one is due, then apply the buffered effects — so the action's entry
-    /// lands in the trace *before* the entries its sends generate, keeping
-    /// the trace causally ordered. Effects depart at `now + service` (the
+    /// Execute one atomic action on `id` through the shared executor, then
+    /// carry out its routed effects. Effects depart at `now + service` (the
     /// action's completion under the service-time model): a hop's service
     /// delays everything downstream of it, which is what lets the profiler
     /// decompose op latency exactly.
-    fn run_action(
-        &mut self,
-        id: ProcId,
-        span: Option<u64>,
-        service: u64,
-        pending: Option<PendingTrace>,
-        f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>),
-    ) {
+    fn run_action(&mut self, id: ProcId, service: u64, action: Action<P::Msg>) {
         let mut p = self.procs[id.index()]
             .take()
             .expect("process is resident between events");
-        self.run_action_on(&mut p, id, span, service, pending, f);
+        self.run_action_on(&mut p, id, service, action);
         self.procs[id.index()] = Some(p);
     }
 
@@ -811,121 +696,34 @@ impl<P: Process> Simulation<P> {
     /// and calls this once per event. Applying effects here is safe while
     /// the process is out: effects touch the queue, stats, and trace, never
     /// the process table.
-    fn run_action_on(
-        &mut self,
-        p: &mut P,
-        id: ProcId,
-        span: Option<u64>,
-        service: u64,
-        pending: Option<PendingTrace>,
-        f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>),
-    ) {
-        let before = if pending.is_some() {
-            p.metrics()
-        } else {
-            Vec::new()
-        };
-        debug_assert!(self.effects_buf.is_empty());
-        let mut effects = std::mem::take(&mut self.effects_buf);
-        {
-            let mut ctx = Context {
-                me: id,
-                now: self.now,
-                effects: &mut effects,
-                rng: &mut self.rng,
-                span,
-            };
-            f(p, &mut ctx);
-        }
-        if let Some(pt) = pending {
-            self.trace.record(TraceEntry {
-                seq: 0,
-                at: self.now,
-                from: pt.from,
-                to: id,
-                event: pt.event,
-                kind: pt.kind,
-                span,
-                redelivery: pt.redelivery,
-                wait: pt.wait,
-                detail: pt.detail,
-                deltas: metric_deltas(&before, &p.metrics()),
-            });
-        }
-        if self.sampler.due(id, self.now) {
-            let pairs = p.metrics();
-            let mut gauges = p.gauges(self.now);
-            // Runtime-level gauge: pending events across the whole cluster
-            // (simulator only — the threaded runtime has no global queue).
-            gauges.push(("rt.event_queue_depth", self.queue.len() as u64));
-            if let Some(mon) = &mut self.health {
-                for alert in mon.observe(self.now, id, &pairs, &gauges) {
-                    if self.trace.enabled() {
-                        self.trace.record(TraceEntry {
-                            seq: 0,
-                            at: self.now,
-                            from: id,
-                            to: id,
-                            event: TraceEvent::Alert,
-                            kind: alert.rule,
-                            span: None,
-                            redelivery: false,
-                            wait: 0,
-                            detail: alert.detail(),
-                            deltas: Vec::new(),
-                        });
-                    }
-                    self.alerts.push(alert);
-                }
-            }
-            self.series.push(ProcSample {
-                at: self.now,
-                proc: id,
-                pairs,
-                gauges,
-            });
-        }
+    fn run_action_on(&mut self, p: &mut P, id: ProcId, service: u64, action: Action<P::Msg>) {
+        let span = action.span();
+        // Runtime-level gauge: pending events across the whole cluster
+        // (simulator only — the threaded runtime has no global queue).
+        let depth = [("rt.event_queue_depth", self.queue.len() as u64)];
+        self.exec
+            .run(&mut self.rec, p, id, self.now, action, &depth);
         let depart = self.now + service;
+        let mut effects = std::mem::take(&mut self.exec.effects);
         for effect in effects.drain(..) {
-            self.apply_effect(id, span, depart, effect);
+            if let Some(routed) = exec::route(&mut self.rec, id, depart, span, effect) {
+                self.apply_effect(id, depart, routed);
+            }
         }
-        self.effects_buf = effects;
+        self.exec.effects = effects;
     }
 
-    fn apply_effect(
-        &mut self,
-        src: ProcId,
-        action_span: Option<u64>,
-        depart: SimTime,
-        effect: Effect<P::Msg>,
-    ) {
-        match effect {
-            Effect::Send { to, msg } => {
-                // Causal span inheritance: a payload that names its operation
-                // wins; everything else is attributed to the action that sent
-                // it (split rounds, copy installs, relays, replies).
-                let span = msg.span().or(action_span);
-                if to.is_external() {
-                    self.stats
-                        .record_send(msg.kind(), src.index(), None, msg.size_hint(), false);
-                    if self.trace.enabled() {
-                        self.trace.record(TraceEntry {
-                            seq: 0,
-                            at: depart,
-                            from: src,
-                            to: ProcId::EXTERNAL,
-                            event: TraceEvent::Output,
-                            kind: msg.kind(),
-                            span,
-                            redelivery: false,
-                            wait: 0,
-                            detail: format!("{msg:?}"),
-                            deltas: Vec::new(),
-                        });
-                    }
-                    self.outputs.push((depart, src, msg));
-                    return;
-                }
+    /// Carry out one routed effect of an action on `src` departing at
+    /// `depart`: the network model (faults, latency, FIFO clocks) for sends,
+    /// the event queue for timers, the output buffer for external replies.
+    fn apply_effect(&mut self, src: ProcId, depart: SimTime, routed: Routed<P::Msg>) {
+        match routed {
+            Routed::Output(msg) => {
+                self.stats
+                    .record_send(msg.kind(), src.index(), None, msg.size_hint(), false);
+                self.outputs.push((depart, src, msg));
+            }
+            Routed::Send { to, msg, span } => {
                 let local = to == src;
                 self.stats.record_send(
                     msg.kind(),
@@ -941,25 +739,20 @@ impl<P: Process> Simulation<P> {
                 if self.faults_active && !local {
                     if self.faults.severed(src, to, depart) {
                         self.stats.faults_mut().partition_dropped += 1;
-                        self.record_fault(
-                            src,
-                            to,
-                            &msg,
-                            span,
-                            depart,
-                            TraceEvent::Drop,
-                            "partition",
-                        );
+                        let hop = Hop::of(src, to, &msg, span);
+                        self.rec
+                            .fault(TraceEvent::Drop, depart, hop, 0, "partition");
                         return;
                     }
                     if self.faults.drop_prob > 0.0 && self.fault_rng.gen_bool(self.faults.drop_prob)
                     {
                         self.stats.faults_mut().dropped += 1;
-                        self.record_fault(src, to, &msg, span, depart, TraceEvent::Drop, "loss");
+                        let hop = Hop::of(src, to, &msg, span);
+                        self.rec.fault(TraceEvent::Drop, depart, hop, 0, "loss");
                         return;
                     }
                 }
-                let latency = self.latency.sample(src, to, &mut self.rng);
+                let latency = self.latency.sample(src, to, &mut self.exec.rng);
                 let mut at = depart + latency;
                 // Enforce FIFO per channel: never schedule before an earlier
                 // message on the same channel.
@@ -978,7 +771,8 @@ impl<P: Process> Simulation<P> {
                     // advance the watermark: it may be overtaken, exactly
                     // like a retransmitted packet on a real network.
                     self.stats.faults_mut().duplicated += 1;
-                    self.record_fault(src, to, &msg, span, depart, TraceEvent::Duplicate, "dup");
+                    let hop = Hop::of(src, to, &msg, span);
+                    self.rec.fault(TraceEvent::Duplicate, depart, hop, 0, "dup");
                     self.queue.push_epoch(
                         dup_at(
                             depart,
@@ -1005,7 +799,7 @@ impl<P: Process> Simulation<P> {
                     },
                 );
             }
-            Effect::Timer { delay, token } => {
+            Routed::Timer { delay, token } => {
                 self.queue.push_epoch(
                     depart + delay,
                     src,
@@ -1013,69 +807,23 @@ impl<P: Process> Simulation<P> {
                     EventKind::Timer { token },
                 );
             }
-            Effect::Mark {
-                event,
-                kind,
-                detail,
-            } => {
-                if self.trace.enabled() {
-                    self.trace.record(TraceEntry {
-                        seq: 0,
-                        at: depart,
-                        from: src,
-                        to: src,
-                        event,
-                        kind,
-                        span: action_span,
-                        redelivery: false,
-                        wait: 0,
-                        detail,
-                        deltas: Vec::new(),
-                    });
-                }
-            }
-        }
-    }
-
-    /// Record a fault-injection trace entry (drop, duplicate) at send time.
-    #[allow(clippy::too_many_arguments)]
-    fn record_fault(
-        &mut self,
-        from: ProcId,
-        to: ProcId,
-        msg: &P::Msg,
-        span: Option<u64>,
-        at: SimTime,
-        event: TraceEvent,
-        flavor: &str,
-    ) {
-        if self.trace.enabled() {
-            self.trace.record(TraceEntry {
-                seq: 0,
-                at,
-                from,
-                to,
-                event,
-                kind: msg.kind(),
-                span,
-                redelivery: msg.redelivery(),
-                wait: 0,
-                detail: flavor.to_string(),
-                deltas: Vec::new(),
-            });
         }
     }
 }
 
-/// Trace-entry ingredients captured before an action runs (the entry itself
-/// is completed with the action's metric deltas afterwards).
-struct PendingTrace {
-    event: TraceEvent,
-    from: ProcId,
-    kind: &'static str,
-    redelivery: bool,
-    wait: u64,
-    detail: String,
+/// The action a queued delivery or timer runs; `wait` is the ticks it
+/// queued behind a busy node manager.
+fn queued_action<M>(kind: EventKind<M>, wait: u64) -> Action<M> {
+    match kind {
+        EventKind::Deliver { from, msg, span } => Action::Deliver {
+            from,
+            msg,
+            span,
+            wait,
+        },
+        EventKind::Timer { token } => Action::Timer { token, wait },
+        _ => unreachable!("only deliveries and timers run as queued actions"),
+    }
 }
 
 /// Arrival time of a duplicated delivery: its own latency draw, clamped so
@@ -1165,6 +913,7 @@ impl<P: Process> Runtime for Simulation<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Context;
 
     #[derive(Clone, Debug)]
     enum Msg {

@@ -28,22 +28,16 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
-use crate::context::Effect;
-use crate::health::{Alert, HealthMonitor};
-use crate::obs::Sampler;
+use crate::exec::{self, Action, Executor, Hop, Recorder, Recording, Routed};
 use crate::runtime::{Poll, QuiesceError, Runtime};
-use crate::trace::{TraceEntry, TraceEvent};
-use crate::{Context, Obs, ObsConfig, Payload, ProcId, ProcSample, Process, SimTime, Trace};
-
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use crate::trace::TraceEvent;
+use crate::{Obs, ObsConfig, Payload, ProcId, Process, SimTime};
 
 enum Envelope<M> {
     Msg {
         from: ProcId,
         msg: M,
-        /// Causal span, resolved at send time exactly as the simulator does:
-        /// the payload's own span, else the sending action's.
+        /// Causal span, resolved at send time by [`exec::route`].
         span: Option<u64>,
     },
     Timer {
@@ -63,21 +57,30 @@ enum Envelope<M> {
     Shutdown,
 }
 
-/// Shared observability state: every worker records into the same trace and
-/// series under one mutex, so the lock-acquisition order *is* the global
-/// `seq` order — the trace is a linearization of what actually interleaved.
-struct ObsState {
-    trace: Trace,
-    series: Vec<ProcSample>,
-    sampler: Sampler,
-    /// Online watchdogs (`None` unless enabled) and their fired alerts,
-    /// evaluated under the same lock as the sampler so alert order agrees
-    /// with sample order.
-    health: Option<HealthMonitor>,
-    alerts: Vec<Alert>,
+/// The cluster's one recorder: every worker records into the same trace,
+/// series and watchdogs under one mutex, so the lock-acquisition order *is*
+/// the global `seq` order — the trace is a linearization of what actually
+/// interleaved, and alert order agrees with sample order. What is switched
+/// on is copied out at spawn, so with telemetry off no worker ever takes
+/// the lock, and with only sampling on none formats a payload.
+#[derive(Clone)]
+struct Shared {
+    inner: Arc<Mutex<Recorder>>,
+    tracing: bool,
+    on: bool,
 }
 
-type SharedObs = Option<Arc<Mutex<ObsState>>>;
+impl Recording for Shared {
+    fn tracing(&self) -> bool {
+        self.tracing
+    }
+
+    fn with(&mut self, f: impl FnOnce(&mut Recorder)) {
+        if self.on {
+            f(&mut self.inner.lock().expect("obs lock"));
+        }
+    }
+}
 
 /// What worker threads emit on the shared output channel.
 enum Output<M> {
@@ -182,15 +185,12 @@ pub struct Cluster<P: Process> {
     /// Shared time origin: all workers and [`Cluster::now`] measure
     /// microseconds from this instant, so timestamps are comparable.
     epoch: Instant,
-    /// Total actions (message + timer deliveries) processed cluster-wide.
+    /// Total actions (see [`Action`]) processed cluster-wide.
     actions: Arc<AtomicU64>,
     /// Timers armed but not yet delivered to a worker queue.
     pending_timers: Arc<AtomicU64>,
     next_probe: u64,
-    /// Shared trace + series, `None` when observability is off (the workers
-    /// then skip every recording branch — zero overhead).
-    obs: SharedObs,
-    obs_cfg: ObsConfig,
+    rec: Shared,
 }
 
 impl<P> Cluster<P>
@@ -209,19 +209,11 @@ where
     pub fn spawn_with(procs: Vec<P>, obs_cfg: ObsConfig) -> Self {
         let n = procs.len();
         let epoch = Instant::now();
-        let obs: SharedObs =
-            (obs_cfg.trace_capacity > 0 || obs_cfg.sample_interval > 0).then(|| {
-                Arc::new(Mutex::new(ObsState {
-                    trace: Trace::with_capacity(obs_cfg.trace_capacity),
-                    series: Vec::new(),
-                    sampler: Sampler::new(obs_cfg.sample_interval, n),
-                    health: obs_cfg
-                        .health
-                        .enabled
-                        .then(|| HealthMonitor::new(obs_cfg.health, n)),
-                    alerts: Vec::new(),
-                }))
-            });
+        let rec = Shared {
+            inner: Arc::new(Mutex::new(Recorder::new(obs_cfg, n))),
+            tracing: obs_cfg.trace_capacity > 0,
+            on: obs_cfg.trace_capacity > 0 || obs_cfg.sample_interval > 0,
+        };
         let (out_tx, out_rx) = unbounded::<Output<P::Msg>>();
         let channels: Vec<Channel<P::Msg>> = (0..n).map(|_| unbounded()).collect();
         let senders: Vec<Sender<Envelope<P::Msg>>> =
@@ -238,247 +230,21 @@ where
             .expect("spawn simnet timer thread");
 
         let mut handles = Vec::with_capacity(n);
-        for (i, (mut proc, (_, rx))) in procs.into_iter().zip(channels).enumerate() {
-            let me = ProcId(i as u32);
-            let peer_senders = senders.clone();
-            let out = out_tx.clone();
-            let timers = timer_tx.clone();
-            let actions = Arc::clone(&actions);
-            let pending_timers = Arc::clone(&pending_timers);
-            let obs = obs.clone();
+        for (i, (proc, (_, rx))) in procs.into_iter().zip(channels).enumerate() {
+            let worker = Worker {
+                me: ProcId(i as u32),
+                epoch,
+                exec: Executor::new(0x5EED ^ i as u64),
+                rec: rec.clone(),
+                peers: senders.clone(),
+                out: out_tx.clone(),
+                timers: timer_tx.clone(),
+                pending_timers: Arc::clone(&pending_timers),
+                actions: Arc::clone(&actions),
+            };
             let handle = thread::Builder::new()
                 .name(format!("simnet-p{i}"))
-                .spawn(move || {
-                    let mut rng = SmallRng::seed_from_u64(0x5EED ^ i as u64);
-                    let mut effects: Vec<Effect<P::Msg>> = Vec::new();
-                    let now = |epoch: Instant| SimTime(epoch.elapsed().as_micros() as u64);
-
-                    // Run on_start.
-                    {
-                        let mut ctx = Context {
-                            me,
-                            now: now(epoch),
-                            effects: &mut effects,
-                            rng: &mut rng,
-                            span: None,
-                        };
-                        proc.on_start(&mut ctx);
-                    }
-                    flush(
-                        &mut effects,
-                        me,
-                        now(epoch),
-                        None,
-                        &peer_senders,
-                        &out,
-                        &timers,
-                        &pending_timers,
-                        &obs,
-                    );
-
-                    // Crash mode: envelopes addressed to a crashed worker are
-                    // the dead incarnation's volatile queue — dropped without
-                    // running the process or bumping the action counter
-                    // (dropping is not an action, so settle stays sound).
-                    let mut down = false;
-                    while let Ok(env) = rx.recv() {
-                        match env {
-                            Envelope::Msg { from, msg, span } => {
-                                let at = now(epoch);
-                                if down {
-                                    if let Some(o) = obs.as_ref() {
-                                        let mut st = o.lock().expect("obs lock");
-                                        if st.trace.enabled() {
-                                            st.trace.record(TraceEntry {
-                                                seq: 0,
-                                                at,
-                                                from,
-                                                to: me,
-                                                event: TraceEvent::Drop,
-                                                kind: msg.kind(),
-                                                span,
-                                                redelivery: msg.redelivery(),
-                                                wait: 0,
-                                                detail: "crash".into(),
-                                                deltas: Vec::new(),
-                                            });
-                                        }
-                                    }
-                                    continue;
-                                }
-                                // Capture what the trace needs before the
-                                // payload moves into the handler.
-                                let pending = obs
-                                    .as_ref()
-                                    .map(|_| (msg.kind(), msg.redelivery(), format!("{msg:?}")));
-                                let before = if obs.is_some() {
-                                    proc.metrics()
-                                } else {
-                                    Vec::new()
-                                };
-                                let mut ctx = Context {
-                                    me,
-                                    now: at,
-                                    effects: &mut effects,
-                                    rng: &mut rng,
-                                    span,
-                                };
-                                proc.on_message(&mut ctx, from, msg);
-                                if let (Some(o), Some((kind, redelivery, detail))) =
-                                    (obs.as_ref(), pending)
-                                {
-                                    record_action(
-                                        o,
-                                        at,
-                                        from,
-                                        me,
-                                        TraceEvent::Deliver,
-                                        kind,
-                                        span,
-                                        redelivery,
-                                        detail,
-                                        &before,
-                                        &proc,
-                                    );
-                                }
-                                flush(
-                                    &mut effects,
-                                    me,
-                                    at,
-                                    span,
-                                    &peer_senders,
-                                    &out,
-                                    &timers,
-                                    &pending_timers,
-                                    &obs,
-                                );
-                                // Count the action only after its sends are
-                                // enqueued: the probe barrier relies on
-                                // "counted implies visible".
-                                actions.fetch_add(1, Ordering::SeqCst);
-                            }
-                            Envelope::Timer { token } => {
-                                if down {
-                                    continue;
-                                }
-                                let at = now(epoch);
-                                let before = if obs.is_some() {
-                                    proc.metrics()
-                                } else {
-                                    Vec::new()
-                                };
-                                let mut ctx = Context {
-                                    me,
-                                    now: at,
-                                    effects: &mut effects,
-                                    rng: &mut rng,
-                                    span: None,
-                                };
-                                proc.on_timer(&mut ctx, token);
-                                if let Some(o) = obs.as_ref() {
-                                    record_action(
-                                        o,
-                                        at,
-                                        me,
-                                        me,
-                                        TraceEvent::Timer,
-                                        "timer",
-                                        None,
-                                        false,
-                                        format!("token={token}"),
-                                        &before,
-                                        &proc,
-                                    );
-                                }
-                                flush(
-                                    &mut effects,
-                                    me,
-                                    at,
-                                    None,
-                                    &peer_senders,
-                                    &out,
-                                    &timers,
-                                    &pending_timers,
-                                    &obs,
-                                );
-                                actions.fetch_add(1, Ordering::SeqCst);
-                            }
-                            Envelope::Probe { token } => {
-                                let _ = out.send(Output::Probe(token));
-                            }
-                            Envelope::Crash => {
-                                down = true;
-                                if let Some(o) = obs.as_ref() {
-                                    let mut st = o.lock().expect("obs lock");
-                                    if st.trace.enabled() {
-                                        st.trace.record(TraceEntry {
-                                            seq: 0,
-                                            at: now(epoch),
-                                            from: me,
-                                            to: me,
-                                            event: TraceEvent::Crash,
-                                            kind: "fault.crash",
-                                            span: None,
-                                            redelivery: false,
-                                            wait: 0,
-                                            detail: String::new(),
-                                            deltas: Vec::new(),
-                                        });
-                                    }
-                                }
-                            }
-                            Envelope::Restart => {
-                                if !down {
-                                    continue;
-                                }
-                                down = false;
-                                let at = now(epoch);
-                                let before = if obs.is_some() {
-                                    proc.metrics()
-                                } else {
-                                    Vec::new()
-                                };
-                                let mut ctx = Context {
-                                    me,
-                                    now: at,
-                                    effects: &mut effects,
-                                    rng: &mut rng,
-                                    span: None,
-                                };
-                                proc.on_restart(&mut ctx);
-                                if let Some(o) = obs.as_ref() {
-                                    record_action(
-                                        o,
-                                        at,
-                                        me,
-                                        me,
-                                        TraceEvent::Restart,
-                                        "fault.restart",
-                                        None,
-                                        false,
-                                        String::new(),
-                                        &before,
-                                        &proc,
-                                    );
-                                }
-                                flush(
-                                    &mut effects,
-                                    me,
-                                    at,
-                                    None,
-                                    &peer_senders,
-                                    &out,
-                                    &timers,
-                                    &pending_timers,
-                                    &obs,
-                                );
-                                actions.fetch_add(1, Ordering::SeqCst);
-                            }
-                            Envelope::Shutdown => break,
-                        }
-                    }
-                    proc
-                })
+                .spawn(move || worker.run(proc, rx))
                 .expect("spawn simnet thread");
             handles.push(handle);
         }
@@ -494,8 +260,7 @@ where
             actions,
             pending_timers,
             next_probe: 0,
-            obs,
-            obs_cfg,
+            rec,
         }
     }
 
@@ -544,20 +309,7 @@ where
     /// Take the observability data recorded so far (empty when the cluster
     /// was spawned without an [`ObsConfig`]), leaving fresh buffers.
     pub fn take_obs(&mut self) -> Obs {
-        match &self.obs {
-            None => Obs::default(),
-            Some(o) => {
-                let mut st = o.lock().expect("obs lock");
-                Obs {
-                    trace: std::mem::replace(
-                        &mut st.trace,
-                        Trace::with_capacity(self.obs_cfg.trace_capacity),
-                    ),
-                    series: std::mem::take(&mut st.series),
-                    alerts: std::mem::take(&mut st.alerts),
-                }
-            }
-        }
+        self.rec.inner.lock().expect("obs lock").take_obs()
     }
 
     /// Pull one output from the channel into the buffer; `false` on timeout
@@ -729,165 +481,115 @@ where
     }
 }
 
-/// Record one executed action into the shared trace (with its metric
-/// deltas) and emit a time-series sample if one is due. One lock
-/// acquisition covers both, so entry `seq` and sample order agree.
-#[allow(clippy::too_many_arguments)]
-fn record_action<P: Process>(
-    obs: &Arc<Mutex<ObsState>>,
-    at: SimTime,
-    from: ProcId,
+/// One processor's thread: its executor, its share of the recorder, and
+/// the channels its routed effects travel on.
+struct Worker<M> {
     me: ProcId,
-    event: TraceEvent,
-    kind: &'static str,
-    span: Option<u64>,
-    redelivery: bool,
-    detail: String,
-    before: &[(&'static str, u64)],
-    proc: &P,
-) {
-    let after = proc.metrics();
-    let mut st = obs.lock().expect("obs lock");
-    // Reborrow through the guard so the health/trace/alerts fields can be
-    // borrowed disjointly below.
-    let st = &mut *st;
-    if st.trace.enabled() {
-        st.trace.record(TraceEntry {
-            seq: 0,
-            at,
-            from,
-            to: me,
-            event,
-            kind,
-            span,
-            redelivery,
-            wait: 0,
-            detail,
-            deltas: crate::obs::metric_deltas(before, &after),
-        });
-    }
-    if st.sampler.due(me, at) {
-        let gauges = proc.gauges(at);
-        if let Some(mon) = &mut st.health {
-            let fired = mon.observe(at, me, &after, &gauges);
-            for alert in fired {
-                if st.trace.enabled() {
-                    st.trace.record(TraceEntry {
-                        seq: 0,
-                        at,
-                        from: me,
-                        to: me,
-                        event: TraceEvent::Alert,
-                        kind: alert.rule,
-                        span: None,
-                        redelivery: false,
-                        wait: 0,
-                        detail: alert.detail(),
-                        deltas: Vec::new(),
-                    });
-                }
-                st.alerts.push(alert);
-            }
-        }
-        st.series.push(ProcSample {
-            at,
-            proc: me,
-            pairs: after,
-            gauges,
-        });
-    }
+    /// The cluster's time origin (see [`Cluster::now`]).
+    epoch: Instant,
+    exec: Executor<M>,
+    rec: Shared,
+    peers: Vec<Sender<Envelope<M>>>,
+    out: Sender<Output<M>>,
+    timers: Sender<TimerCmd>,
+    pending_timers: Arc<AtomicU64>,
+    actions: Arc<AtomicU64>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn flush<M: Payload>(
-    effects: &mut Vec<Effect<M>>,
-    me: ProcId,
-    at: SimTime,
-    action_span: Option<u64>,
-    peers: &[Sender<Envelope<M>>],
-    out: &Sender<Output<M>>,
-    timers: &Sender<TimerCmd>,
-    pending_timers: &AtomicU64,
-    obs: &SharedObs,
-) {
-    for effect in effects.drain(..) {
-        match effect {
-            Effect::Send { to, msg } => {
-                // Same span-inheritance rule as the simulator: the payload's
-                // own span wins, else the sending action's.
-                let span = msg.span().or(action_span);
-                if to.is_external() {
-                    if let Some(o) = obs {
-                        let mut st = o.lock().expect("obs lock");
-                        if st.trace.enabled() {
-                            st.trace.record(TraceEntry {
-                                seq: 0,
-                                at,
-                                from: me,
-                                to: ProcId::EXTERNAL,
-                                event: TraceEvent::Output,
-                                kind: msg.kind(),
-                                span,
-                                redelivery: false,
-                                wait: 0,
-                                detail: format!("{msg:?}"),
-                                deltas: Vec::new(),
-                            });
-                        }
-                    }
-                    let _ = out.send(Output::At(at, me, msg));
-                } else {
-                    let _ = peers[to.index()].send(Envelope::Msg {
+impl<M: Payload> Worker<M> {
+    fn now(&self) -> SimTime {
+        SimTime(self.epoch.elapsed().as_micros() as u64)
+    }
+
+    /// Run `proc` until shutdown and hand back its final state.
+    fn run<P: Process<Msg = M>>(mut self, mut proc: P, rx: Receiver<Envelope<M>>) -> P {
+        self.act(&mut proc, Action::Start);
+        // Crash mode: envelopes addressed to a crashed worker are the dead
+        // incarnation's volatile queue — dropped without running the
+        // process or bumping the action counter (dropping is not an
+        // action, so settle stays sound).
+        let mut down = false;
+        while let Ok(env) = rx.recv() {
+            match env {
+                Envelope::Msg { from, msg, span } if down => {
+                    let hop = Hop::of(from, self.me, &msg, span);
+                    self.rec
+                        .fault(TraceEvent::Drop, self.now(), hop, 0, "crash");
+                }
+                Envelope::Msg { from, msg, span } => {
+                    let action = Action::Deliver {
+                        from,
+                        msg,
+                        span,
+                        wait: 0,
+                    };
+                    self.act(&mut proc, action);
+                }
+                Envelope::Timer { token } if !down => {
+                    self.act(&mut proc, Action::Timer { token, wait: 0 })
+                }
+                Envelope::Restart if down => {
+                    down = false;
+                    self.act(&mut proc, Action::Restart);
+                }
+                Envelope::Timer { .. } | Envelope::Restart => {}
+                Envelope::Probe { token } => {
+                    let _ = self.out.send(Output::Probe(token));
+                }
+                Envelope::Crash => {
+                    down = true;
+                    self.rec.crash(self.now(), self.me);
+                }
+                Envelope::Shutdown => break,
+            }
+        }
+        proc
+    }
+
+    /// Run one action through the executor and carry out its routed
+    /// effects on the cluster's channels.
+    fn act<P: Process<Msg = M>>(&mut self, proc: &mut P, action: Action<M>) {
+        let (me, at, span) = (self.me, self.now(), action.span());
+        self.exec.run(&mut self.rec, proc, me, at, action, &[]);
+        for effect in self.exec.effects.drain(..) {
+            match exec::route(&mut self.rec, me, at, span, effect) {
+                Some(Routed::Send { to, msg, span }) => {
+                    let _ = self.peers[to.index()].send(Envelope::Msg {
                         from: me,
                         msg,
                         span,
                     });
                 }
-            }
-            Effect::Timer { delay, token } => {
-                // One virtual tick = one microsecond, the granularity of the
-                // `now()` clock the worker reports to its process. Count the
-                // timer as pending before the command is visible to the
-                // timer thread, so quiescence probes never miss it.
-                pending_timers.fetch_add(1, Ordering::SeqCst);
-                let deadline = Instant::now() + Duration::from_micros(delay);
-                let _ = timers.send(TimerCmd::At {
-                    deadline,
-                    proc: me,
-                    token,
-                });
-            }
-            Effect::Mark {
-                event,
-                kind,
-                detail,
-            } => {
-                if let Some(o) = obs {
-                    let mut st = o.lock().expect("obs lock");
-                    if st.trace.enabled() {
-                        st.trace.record(TraceEntry {
-                            seq: 0,
-                            at,
-                            from: me,
-                            to: me,
-                            event,
-                            kind,
-                            span: action_span,
-                            redelivery: false,
-                            wait: 0,
-                            detail,
-                            deltas: Vec::new(),
-                        });
-                    }
+                Some(Routed::Output(msg)) => {
+                    let _ = self.out.send(Output::At(at, me, msg));
                 }
+                Some(Routed::Timer { delay, token }) => {
+                    // One virtual tick = one microsecond, the granularity of
+                    // the `now()` clock the worker reports to its process.
+                    // Count the timer as pending before the command is
+                    // visible to the timer thread, so quiescence probes never
+                    // miss it.
+                    self.pending_timers.fetch_add(1, Ordering::SeqCst);
+                    let deadline = Instant::now() + Duration::from_micros(delay);
+                    let _ = self.timers.send(TimerCmd::At {
+                        deadline,
+                        proc: me,
+                        token,
+                    });
+                }
+                None => {}
             }
         }
+        // Count the action only after its sends are enqueued: the probe
+        // barrier relies on "counted implies visible".
+        self.actions.fetch_add(1, Ordering::SeqCst);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Context;
     use std::time::Duration;
 
     #[derive(Clone, Debug)]

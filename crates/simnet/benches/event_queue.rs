@@ -1,7 +1,9 @@
 //! Criterion microbench for the indexed event core: steady-state push/pop,
 //! indexed removal (`pop_seq`, the schedule explorer's controlled step),
 //! and crash cancellation (`cancel_for`) at pending-set sizes from 10^3 to
-//! 10^6 events — the range a P=1024 closed-loop run actually holds.
+//! 10^6 events — the range a P=1024 closed-loop run actually holds — plus
+//! the node-manager backlog (`park`/`promote`) at backlog depths from 16
+//! to 4096 events behind one busy processor.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use simnet::event::{EventKind, EventQueue};
@@ -121,5 +123,54 @@ fn bench_cancel(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_push_pop, bench_pop_seq, bench_cancel);
+/// One delivered event on a busy processor, the way the simulator's
+/// service-time model drives the queue: pop until the node manager is free
+/// (parking what finds it busy), start the action, and send it the next
+/// event. Returns the started event's wait.
+fn serve_one(q: &mut EventQueue<Blob>, busy: &mut SimTime, next: &mut u64) -> u64 {
+    // Service time of the busy processor (the churn workloads' base).
+    const SVC: u64 = 2;
+    loop {
+        let e = q.pop().expect("the backlog never drains");
+        if *busy > e.at {
+            q.park(*busy, e);
+            continue;
+        }
+        *busy = e.at + SVC;
+        q.promote(e.to, e.seq, *busy);
+        q.push(e.at + 1, e.to, deliver(*next));
+        *next += 1;
+        return e.wait;
+    }
+}
+
+fn bench_busy_backlog(c: &mut Criterion) {
+    let mut g = c.benchmark_group("event_queue_busy_backlog");
+    // One iteration is a few hundred ns: take many samples.
+    g.sample_size(2000);
+    for &depth in &[16u64, 256, 4096] {
+        g.bench_with_input(BenchmarkId::from_parameter(depth), &depth, |b, &depth| {
+            // `depth` events land on one processor at tick 1. Serving the
+            // first parks the rest; from then on each served action sends
+            // one more, so `depth` events wait in steady state.
+            let mut q = EventQueue::new();
+            for i in 0..depth {
+                q.push(SimTime(1), ProcId(0), deliver(i));
+            }
+            let (mut busy, mut next) = (SimTime::ZERO, depth);
+            serve_one(&mut q, &mut busy, &mut next);
+            assert_eq!(q.len() as u64, depth);
+            b.iter(|| black_box(serve_one(&mut q, &mut busy, &mut next)))
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_push_pop,
+    bench_pop_seq,
+    bench_cancel,
+    bench_busy_backlog
+);
 criterion_main!(benches);

@@ -2,7 +2,7 @@
 //! deliveries with O(1) push/pop, O(1) cancellation, and incremental
 //! enabled-set tracking.
 //!
-//! Four structures cooperate:
+//! Five structures cooperate:
 //!
 //! * a **slab** (`slots` + free list) owns the full [`Event`] payloads at
 //!   stable indices, so scheduling never moves message bodies around;
@@ -17,13 +17,19 @@
 //!   long-delay timers, fault-plan controls). When the wheel runs dry the
 //!   window re-anchors at the heap's earliest event and everything inside
 //!   the new window migrates into buckets;
+//! * a **backlog** per busy processor — the paper's queue manager (§1.1) —
+//!   holds the events that found its node manager busy (see
+//!   [`EventQueue::park`]). Only the lowest-seq one, the *representative*,
+//!   is scheduled, at the busy horizon; the rest stay in the slab, off the
+//!   wheel, in a seq-ordered heap, and move up one per started action
+//!   ([`EventQueue::promote`]);
 //! * a **seq index** (`by_seq`, built lazily — only schedule exploration
 //!   needs it) maps sequence numbers to slots, giving the explorer O(1)
 //!   `pop_seq` where the old queue paid a full heap rebuild per controlled
 //!   step. The per-class FIFO heads (`classes`) are likewise lazy.
 //!
 //! The queue maintains a **front cache**: after every mutation, the
-//! earliest pending event's `(at, seq, slot)` is known, so `next_at` and
+//! earliest scheduled event's `(at, seq, slot)` is known, so `next_at` and
 //! `peek_plain_at` are O(1) `&self` peeks. Wheel entries are always live
 //! (indexed removal deletes from the bucket directly); only the overflow
 //! heap can hold stale entries, and it is compacted when they accumulate.
@@ -36,7 +42,7 @@
 //! the original time as a drop, which is what keeps traces and fault
 //! statistics bit-identical to the older lazy epoch-check-at-pop scheme.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 use crate::fx::FxHashMap;
@@ -87,7 +93,7 @@ pub struct Event<M> {
     /// *while* the target is down (current epoch, dropped by the liveness
     /// check, not by cancellation).
     pub epoch: u32,
-    /// Ticks this event has spent requeued behind a busy node manager
+    /// Ticks this event has spent waiting behind a busy node manager
     /// (accumulated by the service-time model; traced as queueing delay).
     pub wait: u64,
     pub kind: EventKind<M>,
@@ -140,6 +146,25 @@ struct Front {
     slot: u32,
 }
 
+/// A busy processor's node-manager backlog: the events that popped while
+/// it was busy, all conceptually firing at its busy horizon.
+#[derive(Debug, Default)]
+struct Backlog {
+    /// The lowest-seq waiting event. It is scheduled at the horizon, except
+    /// between its pop and the caller's `park` or `promote` for it.
+    rep: Option<Rep>,
+    /// Every other waiting event as `(seq, slot)`, lowest seq on top. They
+    /// stay in the slab but are in neither the wheel nor the heap.
+    parked: BinaryHeap<Reverse<(u64, u32)>>,
+}
+
+/// A backlog's representative; `slot` is valid while it is scheduled.
+#[derive(Clone, Copy, Debug)]
+struct Rep {
+    seq: u64,
+    slot: u32,
+}
+
 /// Ordering class of an event: `(0, src, dst)` for deliveries (per-channel
 /// FIFO), `(1, dst, dst)` for timers, `(2, dst, dst)` for crash/restart
 /// controls. Tombstones keep their victim's class.
@@ -175,10 +200,14 @@ pub struct EventQueue<M> {
     /// Slab of event payloads; `None` slots are on the free list.
     slots: Vec<Option<Event<M>>>,
     free: Vec<u32>,
-    /// Number of pending events (tombstones included until they fire).
+    /// Number of pending events (tombstones and parked events included).
     live: usize,
-    /// Cached earliest pending event; `None` iff the queue is empty.
+    /// Cached earliest scheduled event; `None` iff nothing is scheduled
+    /// (the queue is empty, or a backlog's representative is in hand).
     front: Option<Front>,
+    /// Node-manager backlogs, indexed by target processor; grown on the
+    /// first park, so a run without service time never allocates one.
+    backlogs: Vec<Backlog>,
     next_seq: u64,
     /// Live events by sequence number, for the schedule explorer's
     /// `pop_seq`. Built lazily on first use, maintained incrementally
@@ -225,6 +254,7 @@ impl<M> EventQueue<M> {
             free: Vec::new(),
             live: 0,
             front: None,
+            backlogs: Vec::new(),
             next_seq: 0,
             by_seq: None,
             classes: None,
@@ -249,14 +279,101 @@ impl<M> EventQueue<M> {
         });
     }
 
-    /// Re-insert a popped event at a later time, preserving its original
-    /// sequence number so it cannot be overtaken by events sent after it
-    /// (the service-time model relies on this for per-channel FIFO).
-    pub fn requeue(&mut self, at: SimTime, event: Event<M>) {
-        self.insert(Event { at, ..event });
+    /// Park a popped event whose target's node manager is busy until
+    /// `horizon`. The event keeps its sequence number, so events sent after
+    /// it cannot overtake it (per-channel FIFO), and is stamped to fire at
+    /// `horizon`, its `wait` grown by the ticks it was pushed back.
+    ///
+    /// Only the lowest-seq waiting event of a processor — its
+    /// representative — is scheduled; the others stay parked until
+    /// [`EventQueue::promote`] moves them up one at a time. A popped
+    /// representative comes back here as the representative again; an
+    /// arrival with a lower seq than the representative (possible across
+    /// channels of different latency) takes its place, and the displaced
+    /// one is parked.
+    ///
+    /// This gives the order a queue that pushed every waiting event back
+    /// to each new horizon would: all of them sit at the horizon, where
+    /// the lowest seq among them and the fresh arrivals there runs, and
+    /// the others would only be stamped again. A backlog of k events thus
+    /// costs O(log k) per action instead of k re-insertions.
+    pub fn park(&mut self, horizon: SimTime, mut event: Event<M>) {
+        debug_assert!(horizon > event.at, "only a busy node manager parks");
+        let to = event.to.index();
+        if self.backlogs.len() <= to {
+            self.backlogs.resize_with(to + 1, Backlog::default);
+        }
+        let seq = event.seq;
+        event.wait += horizon.ticks() - event.at.ticks();
+        event.at = horizon;
+        let slot = self.alloc(event);
+        let backlog = &mut self.backlogs[to];
+        let displaced = match backlog.rep {
+            Some(rep) if rep.seq < seq => {
+                backlog.parked.push(Reverse((seq, slot)));
+                return;
+            }
+            Some(rep) if rep.seq > seq => {
+                backlog.parked.push(Reverse((rep.seq, rep.slot)));
+                Some(rep)
+            }
+            _ => None,
+        };
+        backlog.rep = Some(Rep { seq, slot });
+        if let Some(rep) = displaced {
+            let at = self.slots[rep.slot as usize]
+                .as_ref()
+                .filter(|ev| ev.seq == rep.seq)
+                .expect("the representative is scheduled")
+                .at;
+            if at.ticks() < self.base + SPAN as u64 {
+                self.unwheel(at, rep.seq);
+            } else {
+                // Its slot still holds it, so a stale heap entry would
+                // look live: cut it out (horizons this far out are rare).
+                self.heap.retain(|e| e.seq != rep.seq);
+            }
+            if self.front.is_some_and(|f| f.seq == rep.seq) {
+                self.scrub();
+            }
+        }
+        self.schedule(horizon, seq, slot);
+    }
+
+    /// The node manager of `to` started the action of event `seq` and is
+    /// busy until `horizon`. If that event was the representative of its
+    /// backlog, the lowest-seq parked event becomes the representative,
+    /// scheduled at `horizon`. Its `wait` grows by `horizon − at`: summed
+    /// over promotions this telescopes to the ticks since it first parked.
+    pub fn promote(&mut self, to: ProcId, seq: u64, horizon: SimTime) {
+        let Some(backlog) = self.backlogs.get_mut(to.index()) else {
+            return;
+        };
+        if backlog.rep.is_none_or(|rep| rep.seq != seq) {
+            return;
+        }
+        let Some(Reverse((next, slot))) = backlog.parked.pop() else {
+            backlog.rep = None;
+            return;
+        };
+        backlog.rep = Some(Rep { seq: next, slot });
+        let event = self.slots[slot as usize]
+            .as_mut()
+            .expect("parked events stay in the slab");
+        event.wait += horizon.ticks() - event.at.ticks();
+        event.at = horizon;
+        self.schedule(horizon, next, slot);
     }
 
     fn insert(&mut self, event: Event<M>) {
+        let (at, seq) = (event.at, event.seq);
+        let slot = self.alloc(event);
+        self.schedule(at, seq, slot);
+    }
+
+    /// Store `event` in the slab and the explorer's indexes: it is pending
+    /// (counted by `len`) but not yet scheduled.
+    fn alloc(&mut self, event: Event<M>) -> u32 {
         debug_assert!(
             event.at.ticks() >= self.base,
             "events are never scheduled into the past"
@@ -277,9 +394,13 @@ impl<M> EventQueue<M> {
         if let Some(by_seq) = &mut self.by_seq {
             by_seq.insert(event.seq, slot);
         }
-        let (at, seq) = (event.at, event.seq);
         self.slots[slot as usize] = Some(event);
         self.live += 1;
+        slot
+    }
+
+    /// Schedule the pending event in `slot` on the wheel or the heap.
+    fn schedule(&mut self, at: SimTime, seq: u64, slot: u32) {
         if at.ticks() < self.base + SPAN as u64 {
             self.wheel_insert(at, seq, slot);
         } else {
@@ -291,8 +412,8 @@ impl<M> EventQueue<M> {
     }
 
     /// Insert into the wheel bucket for `at`, keeping the bucket sorted by
-    /// seq. Normal pushes append (seqs are allocated monotonically); only
-    /// a `requeue` of an old seq pays the sorted insert.
+    /// seq. Normal pushes append (seqs are allocated monotonically); a
+    /// parked event scheduled behind fresher ones pays the sorted insert.
     fn wheel_insert(&mut self, at: SimTime, seq: u64, slot: u32) {
         let b = (at.ticks() % SPAN as u64) as usize;
         let bucket = &mut self.wheel[b];
@@ -338,12 +459,10 @@ impl<M> EventQueue<M> {
     /// Recompute the front cache after a removal. Wheel entries are always
     /// live, so the wheel's earliest bucket head wins outright (overflow
     /// events all fire later than the whole window); the overflow heap is
-    /// scrubbed of stale entries when it supplies the front.
+    /// scrubbed of stale entries when it supplies the front. Nothing may
+    /// be scheduled even though events are pending: parked events wait
+    /// while their representative is in hand between its pop and its park.
     fn scrub(&mut self) {
-        if self.live == 0 {
-            self.front = None;
-            return;
-        }
         if self.wheel_count > 0 {
             let b = self.first_occupied();
             let e = self.wheel[b].front().expect("occupancy bit set");
@@ -358,23 +477,28 @@ impl<M> EventQueue<M> {
             });
             return;
         }
-        while let Some(top) = self.heap.peek() {
-            match self.slots[top.slot as usize].as_ref() {
-                Some(ev) if ev.seq == top.seq => {
-                    self.front = Some(Front {
-                        at: top.at,
-                        seq: top.seq,
-                        slot: top.slot,
-                    });
-                    return;
-                }
-                _ => {
-                    self.heap.pop();
-                    self.stale_heap -= 1;
-                }
+        while let Some(&top) = self.heap.peek() {
+            if self.is_current(top) {
+                self.front = Some(Front {
+                    at: top.at,
+                    seq: top.seq,
+                    slot: top.slot,
+                });
+                return;
             }
+            self.heap.pop();
+            self.stale_heap -= 1;
         }
-        unreachable!("live > 0 but no event found in wheel or heap");
+        self.front = None;
+    }
+
+    /// Does this overflow-heap entry still schedule its event? An entry
+    /// goes stale when `pop_seq` takes its event; the slot may since hold
+    /// another event, or the same one re-parked at a later time.
+    fn is_current(&self, e: HeapEntry) -> bool {
+        self.slots[e.slot as usize]
+            .as_ref()
+            .is_some_and(|ev| ev.seq == e.seq && ev.at == e.at)
     }
 
     /// Migrate every overflow event the current window has reached into
@@ -389,10 +513,7 @@ impl<M> EventQueue<M> {
                 break;
             }
             let top = self.heap.pop().expect("just peeked");
-            let is_live = self.slots[top.slot as usize]
-                .as_ref()
-                .is_some_and(|ev| ev.seq == top.seq);
-            if is_live {
+            if self.is_current(top) {
                 self.wheel_insert(top.at, top.seq, top.slot);
             } else {
                 self.stale_heap -= 1;
@@ -402,14 +523,22 @@ impl<M> EventQueue<M> {
 
     /// Rebuild the overflow heap from live far slots once stale entries
     /// dominate, so an exploration-heavy run cannot hold the heap at its
-    /// high-water mark.
+    /// high-water mark. Parked events are in the slab but unscheduled, so
+    /// they stay out.
     fn maybe_compact(&mut self) {
         if self.stale_heap > COMPACT_SLACK && self.stale_heap * 2 > self.heap.len() {
             let horizon = self.base + SPAN as u64;
+            let mut parked = vec![false; self.slots.len()];
+            for backlog in &self.backlogs {
+                for &Reverse((_, slot)) in &backlog.parked {
+                    parked[slot as usize] = true;
+                }
+            }
             self.heap = self
                 .slots
                 .iter()
                 .enumerate()
+                .filter(|&(i, _)| !parked[i])
                 .filter_map(|(i, s)| {
                     s.as_ref()
                         .filter(|ev| ev.at.ticks() >= horizon)
@@ -487,12 +616,14 @@ impl<M> EventQueue<M> {
         }
     }
 
-    /// Number of pending events (tombstones included until they fire).
+    /// Number of pending events (tombstones included until they fire,
+    /// parked events included).
     pub fn len(&self) -> usize {
         self.live
     }
 
-    /// `true` when no events (tombstones included) are pending.
+    /// `true` when no events (tombstones and parked ones included) are
+    /// pending.
     pub fn is_empty(&self) -> bool {
         self.live == 0
     }
@@ -505,10 +636,38 @@ impl<M> EventQueue<M> {
     /// resulting run is bit-identical to the lazy scheme. Control events
     /// (the crash's own restart) are untouched, as are events that do not
     /// target `to`.
+    ///
+    /// A backlog of `to` dissolves first: every waiting event sits at the
+    /// busy horizon, where its representative is scheduled, so each parked
+    /// event is scheduled there too, its `wait` grown to it, and all of
+    /// them drop at the horizon. (Crash controls are queued before any
+    /// action runs, so no crash falls between two waiting events of one
+    /// tick.) Call this with no representative in hand.
     pub fn cancel_for(&mut self, to: ProcId)
     where
         M: crate::Payload,
     {
+        let rep = self
+            .backlogs
+            .get_mut(to.index())
+            .and_then(|backlog| backlog.rep.take());
+        if let Some(rep) = rep {
+            let horizon = self.slots[rep.slot as usize]
+                .as_ref()
+                .filter(|ev| ev.seq == rep.seq)
+                .expect("the representative is scheduled")
+                .at;
+            let parked = std::mem::take(&mut self.backlogs[to.index()].parked);
+            for Reverse((seq, slot)) in parked.into_sorted_vec().into_iter().rev() {
+                let event = self.slots[slot as usize]
+                    .as_mut()
+                    .expect("parked events stay in the slab");
+                debug_assert!(event.at <= horizon, "parked events trail the horizon");
+                event.wait += horizon.ticks() - event.at.ticks();
+                event.at = horizon;
+                self.schedule(horizon, seq, slot);
+            }
+        }
         for slot in &mut self.slots {
             let Some(event) = slot else { continue };
             if event.to != to {
@@ -665,22 +824,23 @@ impl<M> EventQueue<M> {
     /// (the schedule explorer's controlled step). Wheel residents are
     /// deleted from their bucket directly; overflow residents leave a
     /// stale heap entry behind, swept when it surfaces or at compaction.
+    /// A parked event leaves its backlog (O(backlog), explorer-only); a
+    /// representative is then in hand exactly as after [`EventQueue::pop`].
     pub fn pop_seq(&mut self, seq: u64) -> Option<Event<M>> {
         self.ensure_by_seq();
         let slot = *self.by_seq.as_ref().unwrap().get(&seq)?;
         // Free the slot *before* the overflow bookkeeping: heap compaction
         // rebuilds from live slots, and the victim must not be one of them.
         let event = self.take_slot(slot);
-        if event.at.ticks() < self.base + SPAN as u64 {
-            let b = (event.at.ticks() % SPAN as u64) as usize;
-            let bucket = &mut self.wheel[b];
-            let i = bucket.partition_point(|e| e.seq < seq);
-            debug_assert_eq!(bucket[i].seq, seq, "bucket is sorted by seq");
-            bucket.remove(i);
-            if bucket.is_empty() {
-                self.occ[b / 64] &= !(1 << (b % 64));
+        if let Some(backlog) = self.backlogs.get_mut(event.to.index()) {
+            let before = backlog.parked.len();
+            backlog.parked.retain(|&Reverse((s, _))| s != seq);
+            if backlog.parked.len() < before {
+                return Some(event);
             }
-            self.wheel_count -= 1;
+        }
+        if event.at.ticks() < self.base + SPAN as u64 {
+            self.unwheel(event.at, seq);
         } else {
             self.stale_heap += 1;
             self.maybe_compact();
@@ -689,6 +849,19 @@ impl<M> EventQueue<M> {
             self.scrub();
         }
         Some(event)
+    }
+
+    /// Delete the wheel entry of the event `(at, seq)` from its bucket.
+    fn unwheel(&mut self, at: SimTime, seq: u64) {
+        let b = (at.ticks() % SPAN as u64) as usize;
+        let bucket = &mut self.wheel[b];
+        let i = bucket.partition_point(|e| e.seq < seq);
+        debug_assert_eq!(bucket[i].seq, seq, "bucket is sorted by seq");
+        bucket.remove(i);
+        if bucket.is_empty() {
+            self.occ[b / 64] &= !(1 << (b % 64));
+        }
+        self.wheel_count -= 1;
     }
 }
 
@@ -766,19 +939,309 @@ mod tests {
     }
 
     #[test]
-    fn requeue_preserves_original_seq_order() {
+    fn park_preserves_original_seq_order() {
         let mut q: EventQueue<u32> = EventQueue::new();
         q.push(SimTime(5), ProcId(0), EventKind::Timer { token: 0 }); // seq 0
         q.push(SimTime(5), ProcId(0), EventKind::Timer { token: 1 }); // seq 1
         q.push(SimTime(9), ProcId(0), EventKind::Timer { token: 2 }); // seq 2
         let first = q.pop().unwrap();
         assert_eq!(first.seq, 0);
-        // Requeue the popped event at tick 9: its old seq (0) must fire
-        // before seq 2 at the same tick, exercising the sorted bucket
-        // insert.
-        q.requeue(SimTime(9), first);
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
-        assert_eq!(order, vec![1, 0, 2]);
+        // Park the popped event behind a node manager busy until tick 9:
+        // its old seq (0) must fire before seq 2 at the same tick,
+        // exercising the sorted bucket insert, having waited 9 − 5 ticks.
+        q.park(SimTime(9), first);
+        let order: Vec<(u64, u64, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.seq, e.at.ticks(), e.wait))
+            .collect();
+        assert_eq!(order, vec![(1, 5, 0), (0, 9, 4), (2, 9, 0)]);
+    }
+
+    /// A minimal node manager over the queue, the way the simulator drives
+    /// it: pop; park while the target is busy; otherwise start the action
+    /// (busy for `svc(target)` ticks) and promote. With `pushback`, a busy
+    /// target's event is instead re-inserted at the horizon under its seq,
+    /// the reference the backlog must match. Returns each started action
+    /// as `(seq, at, wait)`.
+    fn drain(
+        q: &mut EventQueue<u32>,
+        svc: impl Fn(ProcId) -> u64,
+        pushback: bool,
+    ) -> Vec<(u64, u64, u64)> {
+        let mut busy: FxHashMap<ProcId, SimTime> = FxHashMap::default();
+        let mut ran = Vec::new();
+        while let Some(e) = q.pop() {
+            let b = busy.get(&e.to).copied().unwrap_or(SimTime::ZERO);
+            if b > e.at && pushback {
+                let wait = e.wait + b.ticks() - e.at.ticks();
+                q.insert(Event { at: b, wait, ..e });
+            } else if b > e.at {
+                q.park(b, e);
+            } else {
+                let horizon = e.at + svc(e.to);
+                busy.insert(e.to, horizon);
+                q.promote(e.to, e.seq, horizon);
+                ran.push((e.seq, e.at.ticks(), e.wait));
+            }
+        }
+        ran
+    }
+
+    #[test]
+    fn backlog_keeps_one_representative_scheduled() {
+        // Four events for P0 at tick 1, service 10: the first runs, the
+        // other three wait. Only the lowest-seq waiter is scheduled; the
+        // others are parked yet still pending.
+        let mut q: EventQueue<u32> = EventQueue::new();
+        for token in 0..4 {
+            q.push(SimTime(1), ProcId(0), EventKind::Timer { token });
+        }
+        let first = q.pop().unwrap();
+        q.promote(ProcId(0), first.seq, SimTime(11));
+        for _ in 0..3 {
+            let e = q.pop().unwrap();
+            q.park(SimTime(11), e);
+        }
+        assert_eq!(q.len(), 3, "parked events are pending");
+        assert_eq!(q.wheel_count, 1, "only the representative is scheduled");
+        assert_eq!(q.backlogs[0].parked.len(), 2);
+        assert_eq!(q.next_at(), Some(SimTime(11)));
+        // Each start promotes the next waiter to the new horizon; waits
+        // are the ticks since arrival at tick 1.
+        let ran = drain(&mut q, |_| 10, false);
+        assert_eq!(ran, vec![(1, 11, 10), (2, 21, 20), (3, 31, 30)]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn backlog_drains_in_the_order_of_per_horizon_pushback() {
+        // The equivalence the backlog rests on: pushing every waiter back
+        // to each new horizon (seq kept) and parking all but the lowest
+        // give the same starts, times and waits. Mixed targets, arrivals
+        // spread over time, and fresh arrivals landing exactly on a
+        // horizon (which may outrank the waiters there).
+        let build = || {
+            let mut q: EventQueue<u32> = EventQueue::new();
+            for i in 0..120u64 {
+                let at = 1 + (i * 37) % 41;
+                q.push(
+                    SimTime(at),
+                    ProcId((i % 3) as u32),
+                    EventKind::Timer { token: i },
+                );
+            }
+            q
+        };
+        let svc = |p: ProcId| 3 + u64::from(p.0) * 4;
+        let expected = drain(&mut build(), svc, true);
+        let mut q = build();
+        let ran = drain(&mut q, svc, false);
+        assert_eq!(ran.len(), 120);
+        assert_eq!(ran, expected);
+        assert_eq!(q.next_seq, 120, "parking allocates no sequence numbers");
+    }
+
+    #[test]
+    fn cancel_for_drops_parked_events_at_the_horizon() {
+        // P0 busy until tick 30, with four waiting events (the
+        // representative and three parked) that arrived at ticks 2, 3, 4
+        // and 6, and a fifth event due after the horizon. A crash cancels the
+        // lot: the four waiters fire as tombstones at the horizon, each
+        // carrying the wait it accumulated to it, in seq order.
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let deliver = |msg| EventKind::Deliver {
+            from: ProcId(1),
+            msg,
+            span: None,
+        };
+        q.push(SimTime(1), ProcId(0), deliver(0)); // seq 0 — runs
+        for (at, msg) in [(2, 1), (3, 2), (4, 3), (6, 4)] {
+            q.push(SimTime(at), ProcId(0), deliver(msg)); // seqs 1..=4
+        }
+        q.push(SimTime(40), ProcId(0), deliver(5)); // seq 5 — after the horizon
+        let e = q.pop().unwrap();
+        q.promote(e.to, e.seq, SimTime(30));
+        for _ in 0..4 {
+            let e = q.pop().unwrap();
+            q.park(SimTime(30), e);
+        }
+        assert_eq!((q.len(), q.wheel_count), (5, 2));
+        q.cancel_for(ProcId(0));
+        assert_eq!(q.len(), 5, "cancellation never removes events");
+        assert!(q.backlogs[0].rep.is_none() && q.backlogs[0].parked.is_empty());
+        let fired: Vec<(u64, u64, u64, bool)> = std::iter::from_fn(|| q.pop())
+            .map(|e| {
+                let tomb = matches!(
+                    e.kind,
+                    EventKind::Tombstone {
+                        is_timer: false,
+                        ..
+                    }
+                );
+                (e.seq, e.at.ticks(), e.wait, tomb)
+            })
+            .collect();
+        assert_eq!(
+            fired,
+            vec![
+                (1, 30, 28, true),
+                (2, 30, 27, true),
+                (3, 30, 26, true),
+                (4, 30, 24, true),
+                (5, 40, 0, true),
+            ]
+        );
+    }
+
+    #[test]
+    fn cancel_for_catches_a_displaced_representative_up_to_the_horizon() {
+        // R (seq 3) waits for P0's horizon 10. At tick 10 the fresh X (seq
+        // 1) runs first, moving the horizon to 20, and F (seq 2) displaces
+        // R, which stays parked at tick 10. Cancellation must drop R at 20
+        // with wait 5 + 10, as if it had been pushed back there, not at 10.
+        let mut q: EventQueue<u32> = EventQueue::new();
+        for (at, token) in [(1, 0), (10, 1), (10, 2), (5, 3)] {
+            q.push(SimTime(at), ProcId(0), EventKind::Timer { token }); // seq = token
+        }
+        let ran = |q: &mut EventQueue<u32>, horizon| {
+            let e = q.pop().unwrap();
+            q.promote(e.to, e.seq, SimTime(horizon));
+        };
+        ran(&mut q, 10); // seq 0 at tick 1
+        let r = q.pop().unwrap();
+        q.park(SimTime(10), r);
+        ran(&mut q, 20); // X at tick 10
+        let f = q.pop().unwrap();
+        q.park(SimTime(20), f);
+        q.cancel_for(ProcId(0));
+        let fired: Vec<(u64, u64, u64)> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.seq, e.at.ticks(), e.wait))
+            .collect();
+        assert_eq!(fired, vec![(2, 20, 10), (3, 20, 15)]);
+    }
+
+    #[test]
+    fn explorer_reaches_parked_events() {
+        // B and C wait behind a busy P0 (B is the representative, C is
+        // parked). Both head their own channel, so both are choices, and
+        // `pop_seq` can take the parked one; the backlog stays consistent.
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let deliver = |from: u32, msg| EventKind::Deliver {
+            from: ProcId(from),
+            msg,
+            span: None,
+        };
+        q.push(SimTime(5), ProcId(0), deliver(1, 0xA)); // seq 0
+        q.push(SimTime(5), ProcId(0), deliver(2, 0xB)); // seq 1
+        q.push(SimTime(5), ProcId(0), deliver(3, 0xC)); // seq 2
+        q.push(SimTime(6), ProcId(0), deliver(3, 0xD)); // seq 3 — behind C
+        let a = q.pop().unwrap();
+        q.promote(a.to, a.seq, SimTime(15));
+        for _ in 0..3 {
+            let e = q.pop().unwrap();
+            q.park(SimTime(15), e);
+        }
+        let choices = q.choices();
+        let heads: Vec<(u64, u64, Option<ProcId>)> = choices
+            .iter()
+            .map(|c| (c.seq, c.at.ticks(), c.from))
+            .collect();
+        // D is masked by C on channel 3→0.
+        assert_eq!(
+            heads,
+            vec![(1, 15, Some(ProcId(2))), (2, 15, Some(ProcId(3)))]
+        );
+        let c = q.pop_seq(2).expect("a parked event is reachable");
+        assert_eq!((c.at.ticks(), c.wait, c.to), (15, 10, ProcId(0)));
+        assert_eq!(q.len(), 2);
+        // Popping C unmasks D (parked, at its horizon).
+        let seqs: Vec<u64> = q.choices().iter().map(|c| c.seq).collect();
+        assert_eq!(seqs, vec![1, 3]);
+        // The representative still runs first, then D is promoted.
+        let b = q.pop().unwrap();
+        assert_eq!((b.seq, b.at.ticks(), b.wait), (1, 15, 10));
+        q.promote(b.to, b.seq, SimTime(25));
+        let d = q.pop().unwrap();
+        assert_eq!((d.seq, d.at.ticks(), d.wait), (3, 25, 19));
+        q.promote(d.to, d.seq, SimTime(35));
+        assert!(q.is_empty() && q.choices().is_empty());
+        assert!(q.backlogs[0].rep.is_none());
+    }
+
+    #[test]
+    fn pop_seq_of_the_representative_leaves_it_in_hand() {
+        // Under a scheduler the representative can be taken by seq; until
+        // it is parked again nothing is scheduled, yet the parked event
+        // still counts, and re-parking restores the schedule.
+        let mut q: EventQueue<u32> = EventQueue::new();
+        for token in 0..3 {
+            q.push(SimTime(1), ProcId(0), EventKind::Timer { token });
+        }
+        let first = q.pop().unwrap();
+        q.promote(first.to, first.seq, SimTime(9));
+        for _ in 0..2 {
+            let e = q.pop().unwrap();
+            q.park(SimTime(9), e);
+        }
+        let rep = q.pop_seq(1).unwrap();
+        assert_eq!((q.len(), q.next_at()), (1, None));
+        assert!(q.pop().is_none(), "nothing is scheduled while in hand");
+        q.park(SimTime(12), rep);
+        assert_eq!(q.next_at(), Some(SimTime(12)));
+        let e = q.pop().unwrap();
+        assert_eq!((e.seq, e.at.ticks(), e.wait), (1, 12, 11));
+        q.promote(e.to, e.seq, SimTime(20));
+        let e = q.pop().unwrap();
+        assert_eq!((e.seq, e.at.ticks(), e.wait), (2, 20, 19));
+        q.promote(e.to, e.seq, SimTime(28));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn far_horizon_backlog_survives_displacement_and_compaction() {
+        // A horizon beyond the wheel window puts the representative in the
+        // overflow heap. A lower-seq arrival displaces it there, and heap
+        // compaction must leave the parked events out: each event fires
+        // exactly once, in seq order, at its own horizon.
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let far = SPAN as u64 * 2;
+        q.push(SimTime(1), ProcId(0), EventKind::Timer { token: 0 }); // seq 0
+        q.push(SimTime(3), ProcId(0), EventKind::Timer { token: 1 }); // seq 1
+        q.push(SimTime(2), ProcId(0), EventKind::Timer { token: 2 }); // seq 2
+        q.push(SimTime(2), ProcId(0), EventKind::Timer { token: 3 }); // seq 3
+        let first = q.pop().unwrap();
+        q.promote(first.to, first.seq, SimTime(far));
+        for _ in 0..3 {
+            // Seqs 2 and 3 at tick 2, then seq 1 displaces seq 2 at tick 3.
+            let e = q.pop().unwrap();
+            q.park(SimTime(far), e);
+        }
+        assert_eq!(q.heap.len(), 1, "only the representative is scheduled");
+        // Stale entries from explorer-style removals force a compaction.
+        for i in 0..(2 * COMPACT_SLACK as u64) {
+            q.push(
+                SimTime(far + 1 + i),
+                ProcId(1),
+                EventKind::Timer { token: i },
+            );
+        }
+        for seq in 4..(4 + 2 * COMPACT_SLACK as u64) {
+            q.pop_seq(seq).unwrap();
+        }
+        assert!(q.heap.len() <= COMPACT_SLACK, "the heap was compacted");
+        assert!(
+            q.heap.iter().all(|e| e.seq != 2 && e.seq != 3),
+            "compaction must not schedule parked events"
+        );
+        let ran = drain(&mut q, |_| 10, false);
+        assert_eq!(
+            ran,
+            vec![
+                (1, far, far - 3),
+                (2, far + 10, far + 8),
+                (3, far + 20, far + 18),
+            ]
+        );
+        assert!(q.is_empty());
     }
 
     #[test]

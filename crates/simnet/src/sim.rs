@@ -518,11 +518,12 @@ impl<P: Process> Simulation<P> {
                 return;
             }
         }
-        // Service-time model: a processor executes one action at a time.
-        // If the target is still busy, requeue the event at its free time
-        // (requeue order follows pop order, so per-channel FIFO holds).
-        // Crash/restart are physical faults, not actions: they bypass the
-        // node manager's queue.
+        // Service-time model: a processor's node manager executes one
+        // action at a time. An event that finds it busy joins its backlog
+        // (the paper's queue manager) with its sequence number kept, so
+        // same-channel events sent after it cannot overtake it; the
+        // backlog releases one event per started action. Crash/restart
+        // are physical faults, not actions: they bypass the backlog.
         let svc = if is_control {
             0
         } else {
@@ -531,15 +532,13 @@ impl<P: Process> Simulation<P> {
         if svc > 0 {
             let busy = self.proc_busy[event.to.index()];
             if busy > event.at {
-                // Keep the original sequence number: a requeued event must
-                // not be overtaken by same-channel events sent after it.
                 self.now = event.at;
-                let mut event = event;
-                event.wait += busy.ticks() - event.at.ticks();
-                self.queue.requeue(busy, event);
+                self.queue.park(busy, event);
                 return;
             }
-            self.proc_busy[event.to.index()] = event.at + svc;
+            let horizon = event.at + svc;
+            self.proc_busy[event.to.index()] = horizon;
+            self.queue.promote(event.to, event.seq, horizon);
         }
         self.now = event.at;
         self.delivered += 1;
@@ -1109,16 +1108,16 @@ mod tests {
                 "actions spaced by service time: {times:?}"
             );
         }
-        // FIFO preserved under requeueing.
+        // FIFO preserved while waiting in the backlog.
         assert!(times.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
     fn service_time_requeue_preserves_channel_fifo() {
-        // Regression: a requeued message (target busy) must keep its heap
-        // priority. Channel S->D carries A then B; an interferer from
-        // another processor occupies D so A is requeued to the same instant
-        // B arrives. D must still observe A before B.
+        // Regression: a message that waits for a busy target must keep its
+        // sequence number. Channel S->D carries A then B; an interferer
+        // from another processor occupies D so A waits until the instant B
+        // arrives. D must still observe A before B.
         struct Obs {
             seen: Vec<u32>,
         }
@@ -1184,6 +1183,219 @@ mod tests {
             panic!()
         };
         assert_eq!(o.seen, vec![99, 1, 2], "A not overtaken by B");
+    }
+
+    /// P0 is the busy node manager under test: it arms an optional timer
+    /// at start and records each ping it runs as `(tick, n)`. The other
+    /// processors only send their pings to P0 at start.
+    struct Manager {
+        timer: Option<u64>,
+        sends: Vec<u32>,
+        seen: Vec<(u64, u32)>,
+    }
+    impl Manager {
+        /// P0 with its optional timer, then one sender per `sends`.
+        fn cluster(timer: Option<u64>, sends: Vec<Vec<u32>>) -> Vec<Manager> {
+            let mut procs = vec![Manager {
+                timer,
+                sends: vec![],
+                seen: vec![],
+            }];
+            procs.extend(sends.into_iter().map(|sends| Manager {
+                timer: None,
+                sends,
+                seen: vec![],
+            }));
+            procs
+        }
+    }
+    impl Process for Manager {
+        type Msg = Msg;
+        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            if let Some(delay) = self.timer {
+                ctx.set_timer(delay, 0);
+            }
+            for &n in &self.sends {
+                ctx.send(ProcId(0), Msg::Ping(n));
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Context<'_, Msg>, _: ProcId, msg: Msg) {
+            if let Msg::Ping(n) = msg {
+                self.seen.push((ctx.now().ticks(), n));
+            }
+        }
+    }
+
+    /// `(tick, wait)` of every traced delivery (or drop) to P0.
+    fn p0_waits(sim: &Simulation<Manager>, event: TraceEvent) -> Vec<(u64, u64)> {
+        sim.trace()
+            .iter()
+            .filter(|e| e.event == event && e.to == ProcId(0))
+            .map(|e| (e.at.ticks(), e.wait))
+            .collect()
+    }
+
+    /// P0 at service 100 runs its timer at tick 5 (busy until 105); P2's
+    /// pings 2 and 3 arrive at tick 10 (remote latency 10), P1's ping 1
+    /// at tick 50 (P1 is 5x slow). Ping 1 was sent first, so it has the
+    /// lowest seq of the three.
+    fn overtake_config() -> SimConfig {
+        let mut cfg = SimConfig::seeded(1);
+        cfg.latency = LatencyModel::SlowProc {
+            local: 1,
+            remote: 10,
+            slow: ProcId(1),
+            factor: 5,
+        };
+        cfg.service_overrides = vec![(ProcId(0), 100)];
+        cfg.trace_capacity = 1 << 10;
+        cfg
+    }
+
+    #[test]
+    fn lower_seq_late_arrival_overtakes_the_waiting_events() {
+        let procs = Manager::cluster(Some(5), vec![vec![1], vec![2, 3]]);
+        let mut sim = Simulation::new(overtake_config(), procs);
+        assert_eq!(sim.run(), RunOutcome::Quiescent);
+        // Ping 1 arrives last but outranks 2 and 3 at the horizon: it runs
+        // at 105 having waited 55, then 2 and 3 one service time apart,
+        // having waited since tick 10.
+        assert_eq!(sim.proc(ProcId(0)).seen, vec![(105, 1), (205, 2), (305, 3)]);
+        assert_eq!(
+            p0_waits(&sim, TraceEvent::Deliver),
+            vec![(105, 55), (205, 195), (305, 295)]
+        );
+    }
+
+    #[test]
+    fn crash_drops_the_whole_backlog_at_the_horizon_then_restarts_idle() {
+        // P0 busy until 105; pings 1..=4 from P2 wait from tick 10 (one
+        // representative, three parked). P0 crashes at 50 and restarts at
+        // 200: the four waiters drop at the horizon 105 with wait 95 each.
+        let mut cfg = overtake_config();
+        cfg.faults = FaultPlan::none().with_crash(crate::CrashEvent {
+            proc: ProcId(0),
+            at: SimTime(50),
+            restart_at: Some(SimTime(200)),
+        });
+        let procs = Manager::cluster(Some(5), vec![vec![], vec![1, 2, 3, 4]]);
+        let mut sim = Simulation::new(cfg, procs);
+        assert_eq!(sim.run_until(SimTime(150)), RunOutcome::TimeLimit);
+        assert_eq!(sim.stats().faults().crash_dropped, 4);
+        assert_eq!(
+            p0_waits(&sim, TraceEvent::Drop),
+            vec![(105, 95), (105, 95), (105, 95), (105, 95)]
+        );
+        assert_eq!(sim.run(), RunOutcome::Quiescent);
+        assert_eq!(sim.now(), SimTime(200));
+        assert_eq!(sim.stats().faults().restarts, 1);
+        // The new incarnation starts idle with an empty backlog: of two
+        // pings landing at 210, one runs at once and one waits 100.
+        sim.inject_at(SimTime(210), ProcId(0), Msg::Ping(7));
+        sim.inject_at(SimTime(210), ProcId(0), Msg::Ping(8));
+        assert_eq!(sim.run(), RunOutcome::Quiescent);
+        assert_eq!(sim.proc(ProcId(0)).seen, vec![(210, 7), (310, 8)]);
+        assert_eq!(
+            p0_waits(&sim, TraceEvent::Deliver),
+            vec![(210, 0), (310, 100)]
+        );
+        assert_eq!(sim.stats().faults().crash_dropped, 4);
+    }
+
+    #[test]
+    fn parked_events_count_as_pending() {
+        // Ping 0 runs at tick 1; pings 1..=4 land at 3 and wait (one
+        // representative, three parked). Queue length, the inflight
+        // high-water mark and the sampled queue-depth gauge all count the
+        // parked ones.
+        let mut cfg = SimConfig::seeded(1);
+        cfg.service_overrides = vec![(ProcId(0), 100)];
+        cfg.sample_interval = 1;
+        let mut sim = Simulation::new(cfg, Manager::cluster(None, vec![]));
+        sim.inject_at(SimTime(1), ProcId(0), Msg::Ping(0));
+        sim.run();
+        for n in 1..=4 {
+            sim.inject_at(SimTime(3), ProcId(0), Msg::Ping(n));
+        }
+        for _ in 1..=4 {
+            sim.step();
+        }
+        assert_eq!(sim.now(), SimTime(3));
+        assert_eq!(sim.queue.len(), 4, "the representative and three parked");
+        assert_eq!(sim.stats().max_inflight(), 0);
+        // Ping 1 runs at 101 with pings 2..=4 pending (two of them parked).
+        sim.step();
+        assert_eq!(sim.stats().max_inflight(), 3);
+        sim.run();
+        let depth: Vec<(u64, u64)> = sim
+            .series()
+            .iter()
+            .filter_map(|s| {
+                let d = s.gauges.iter().find(|g| g.0 == "rt.event_queue_depth")?;
+                Some((s.at.ticks(), d.1))
+            })
+            .collect();
+        assert_eq!(
+            depth,
+            vec![(0, 0), (1, 0), (101, 3), (201, 2), (301, 1), (401, 0)]
+        );
+        assert_eq!(
+            sim.proc(ProcId(0)).seen,
+            vec![(1, 0), (101, 1), (201, 2), (301, 3), (401, 4)]
+        );
+    }
+
+    #[test]
+    fn scheduler_reaches_parked_events() {
+        use crate::schedule::{Choice, Scheduler};
+        use std::collections::VecDeque;
+        // Picks the scripted `(seq, at)` choices in turn, asserting each is
+        // enabled at that time, then the lowest seq.
+        struct Script(VecDeque<(u64, u64)>);
+        impl Scheduler for Script {
+            fn choose(&mut self, _now: SimTime, enabled: &[Choice]) -> usize {
+                let Some(pick) = self.0.pop_front() else {
+                    return 0;
+                };
+                enabled
+                    .iter()
+                    .position(|c| (c.seq, c.at.ticks()) == pick)
+                    .unwrap_or_else(|| panic!("{pick:?} not enabled: {enabled:?}"))
+            }
+        }
+        // P1, P2, P3 each send two pings to P0 (seqs 0..=5, pings 1..=6),
+        // all landing at tick 10; P0's service is 50. Ping 1 runs; pings
+        // 2, 3, 5 wait at the horizon 60 (2 as the representative).
+        // Ping 5 is parked but heads channel 3→0, so it is a choice.
+        let mut cfg = SimConfig::seeded(1);
+        cfg.service_overrides = vec![(ProcId(0), 50)];
+        cfg.trace_capacity = 1 << 10;
+        let procs = Manager::cluster(None, vec![vec![1, 2], vec![3, 4], vec![5, 6]]);
+        let mut sim = Simulation::new(cfg, procs);
+        let script = [(0, 10), (1, 10), (2, 10), (4, 10), (4, 60)];
+        sim.set_scheduler(Box::new(Script(script.into_iter().collect())));
+        assert_eq!(sim.run(), RunOutcome::Quiescent);
+        // Ping 5 runs at 60 ahead of the representative, which waits
+        // again to 110; ping 3 is promoted to 160, having waited since 10.
+        // Pings 4 and 6 then each wait one service time (a controlled step
+        // fires at `max(at, now)`, and the skipped ticks are not a wait).
+        // Every channel stays FIFO.
+        assert_eq!(
+            sim.proc(ProcId(0)).seen,
+            vec![(10, 1), (60, 5), (110, 2), (160, 3), (210, 4), (260, 6)]
+        );
+        assert_eq!(
+            p0_waits(&sim, TraceEvent::Deliver),
+            vec![
+                (10, 0),
+                (60, 50),
+                (110, 100),
+                (160, 150),
+                (210, 50),
+                (260, 50)
+            ]
+        );
+        assert!(sim.queue.is_empty());
     }
 
     #[test]

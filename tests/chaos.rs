@@ -255,6 +255,16 @@ fn fault_trace_matches_injected_fault_stats() {
         .any(|e| e.event == TraceEvent::Deliver && !e.redelivery));
 }
 
+/// FNV-1a over `bytes`: a stable digest for pinned traces.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
 /// Cancellation semantics pin: when a processor crashes, the in-flight
 /// deliveries and timers addressed to its dead incarnation must be
 /// *observed* exactly as they always were — a `drop/crash` trace entry at
@@ -266,14 +276,6 @@ fn fault_trace_matches_injected_fault_stats() {
 /// stat will fail this test.
 #[test]
 fn crash_invalidation_matches_lazy_skip_fingerprint() {
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
-    }
     let plan = FaultPlan::lossy(0.10)
         .with_dup(0.10)
         .with_crash(CrashEvent {
@@ -324,6 +326,88 @@ fn crash_invalidation_matches_lazy_skip_fingerprint() {
     assert_eq!(
         trace_hash, 0x2F38A0EEA9751E57,
         "trace (drop order/times included) drifted from the pinned run"
+    );
+}
+
+/// Deep-backlog pin: one processor with 20x the base service time builds
+/// long node-manager backlogs on a jittery, lossy, duplicating network,
+/// then crashes with a backlog in place and restarts. The constants were
+/// captured from the simulator that pushed every waiting event back to
+/// each new busy horizon (seq kept); the per-processor backlog must give
+/// the identical run — delivery order, waits, drop times, fault stats.
+#[test]
+fn deep_backlog_matches_pushback_fingerprint() {
+    const SLOW: ProcId = ProcId(2);
+    let plan = FaultPlan::lossy(0.03)
+        .with_dup(0.01)
+        .with_crash(CrashEvent {
+            proc: SLOW,
+            at: SimTime(900),
+            restart_at: Some(SimTime(2500)),
+        });
+    let mut sim_cfg = faulty_cfg(23, plan);
+    sim_cfg.service_time = 2;
+    sim_cfg.service_overrides = vec![(SLOW, 40)];
+    sim_cfg.trace_capacity = 1 << 20; // retain the whole run
+    let preload: Vec<u64> = (0..60).map(|k| k * 50).collect();
+    let spec = BuildSpec::new(preload, N_PROCS, TreeConfig::default());
+    let mut cluster = DbCluster::build(&spec, sim_cfg);
+
+    let origins = [ProcId(0), ProcId(1), ProcId(3)]; // avoid the crasher
+    let ops: Vec<ClientOp> = (0..150u64)
+        .map(|i| ClientOp {
+            origin: origins[i as usize % origins.len()],
+            key: 13 * i + 3,
+            intent: Intent::Insert(i),
+        })
+        .collect();
+    let stats = cluster.run_closed_loop(&ops, 8);
+    assert_eq!(stats.records.len(), ops.len());
+
+    // The run exercises what the pin is for: deliveries that waited many
+    // service times, and a crash that drops at least three waiting events
+    // together at the slow processor's busy horizon.
+    let trace: Vec<_> = cluster.sim.trace().iter().collect();
+    let max_wait = trace
+        .iter()
+        .filter(|e| e.event == TraceEvent::Deliver && e.to == SLOW)
+        .map(|e| e.wait)
+        .max()
+        .unwrap_or(0);
+    let waiting_drops: Vec<u64> = trace
+        .iter()
+        .filter(|e| e.event == TraceEvent::Drop && e.to == SLOW && e.wait > 0)
+        .map(|e| e.at.ticks())
+        .collect();
+    let mut drop_ticks = waiting_drops.clone();
+    drop_ticks.dedup();
+    let faults = *cluster.sim.stats().faults();
+    assert_eq!(
+        (
+            faults.dropped,
+            faults.duplicated,
+            faults.crash_dropped,
+            faults.timer_dropped,
+            faults.crashes,
+            faults.restarts,
+        ),
+        (28, 8, 192, 0, 1, 1),
+        "FaultStats drifted from the pinned pushback run"
+    );
+    assert_eq!(
+        (
+            cluster.sim.events_delivered(),
+            max_wait,
+            waiting_drops.len(),
+            drop_ticks.len()
+        ),
+        (1565, 1679, 52, 1),
+        "deliveries, deepest wait or dropped waiters drifted"
+    );
+    let trace_hash = fnv1a(format!("{trace:?}").as_bytes());
+    assert_eq!(
+        trace_hash, 0xAC9B8B4B01EFD859,
+        "trace (waits and drop times included) drifted from the pinned run"
     );
 }
 
